@@ -134,7 +134,7 @@ func TestDeployDCQCNTimeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.NIC.Params()
+	p := tr.Config().Params
 	if p.RateTimer >= sim.Micros(300) {
 		t.Fatalf("rate timer not scaled: %v", p.RateTimer)
 	}
@@ -315,5 +315,36 @@ func TestDeployPatternRejects(t *testing.T) {
 		Pattern:   "flood:peak=1G,victim=5",
 	}).Deploy(eng); err == nil {
 		t.Fatal("out-of-range victim deployed")
+	}
+}
+
+func TestReadLossesCountsUplinkFaultsOnce(t *testing.T) {
+	// A linkdown on tester uplink tx0 must reach the loss report exactly
+	// once. On a fabric, TxLink(0) is the fabric's host uplink, so the
+	// report must not add the host uplinks' counters a second time.
+	for _, topo := range []string{"", "leafspine:2x2"} {
+		t.Run("topology="+topo, func(t *testing.T) {
+			eng := sim.NewEngine()
+			tr, err := (&Spec{
+				Algorithm: "dctcp",
+				Ports:     4,
+				Topology:  topo,
+				Faults:    "linkdown tx0 at 20us for 50us",
+			}).Deploy(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.StartFlow(0, 0, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			tr.Run(sim.Time(200 * sim.Microsecond))
+			link := tr.TxLink(0).Stats().DownDrops
+			if link == 0 {
+				t.Fatal("linkdown on tx0 dropped nothing")
+			}
+			if got := ReadLosses(tr).DownDrops; got != link {
+				t.Fatalf("loss report DownDrops = %d, tx0 link counted %d", got, link)
+			}
+		})
 	}
 }

@@ -8,7 +8,16 @@
 // intermediate switch that forwards each flow to a destination port, where
 // the tester's own receiver logic generates ACKs that travel back over
 // reverse links. Congestion appears wherever the flow routing concentrates
-// traffic (pass-through for §7.2, fan-in for §7.3).
+// traffic (pass-through for §7.2, fan-in for §7.3). A multi-switch
+// Topology replaces the intermediate switch with a fabric.
+//
+// Assembly. New builds the tester from a partition plan. Each partition
+// holds a pipeline and NIC sized to its data ports, their device links,
+// and its share of the tested network. The default plan (Shards == 0) is
+// one partition holding every port and switch on the caller's engine.
+// With Shards >= 1 the plan is the topology's fabric.PartitionSpec: every
+// partition gets its own engine, and a shard.Runner drives the engines in
+// conservative rounds (see partition.go).
 package core
 
 import (
@@ -104,51 +113,44 @@ type Config struct {
 	// byte. Mutually exclusive with ExtraHops (the fabric has real
 	// hops).
 	Topology fabric.Spec
-	// Shards > 0 runs the simulation as a conservative parallel build:
-	// the Topology is partitioned along its natural fault domains
-	// (fabric.PartitionSpec), each partition gets its own engine and
-	// slice of the tester hardware, and up to Shards worker goroutines
-	// execute rounds bounded by the fabric's minimum inter-partition
-	// propagation delay. Outputs are byte-identical for every Shards >= 1
-	// value and any GOMAXPROCS; 0 keeps the classic single-engine build.
-	// Requires a Topology; incompatible with EnablePFC and
+	// Shards selects the partition plan. 0 builds the tester as one
+	// partition on the caller's engine. Shards >= 1 partitions the Topology
+	// along its natural fault domains (fabric.PartitionSpec): each
+	// partition gets its own engine and slice of the tester hardware, and
+	// up to Shards worker goroutines execute rounds bounded by the fabric's
+	// minimum inter-partition propagation delay. Outputs are byte-identical
+	// for every Shards >= 1 value and any GOMAXPROCS, but differ from
+	// Shards == 0 on a topology with more than one partition. Shards >= 1
+	// requires a Topology and is incompatible with EnablePFC and
 	// ReceiverOnFPGA.
 	Shards int
 	// Seed drives all randomness.
 	Seed uint64
 }
 
-// ccOverride carries StartFlowCC's per-flow algorithm selection into the
-// sharded start path (zero value: the deployed default module).
-type ccOverride struct {
-	alg cc.Algorithm
-	ect packet.ECT
-}
-
 // Tester is an assembled Marlin instance plus its tested network.
 type Tester struct {
-	Eng      *sim.Engine
-	Pipeline *tofino.Pipeline
-	NIC      *fpga.NIC
+	// Eng is the control engine: user schedules, fault and pattern plans,
+	// and monitor probes run on it. On the one-partition build every device
+	// runs on it too; a partitioned build executes its events at round
+	// barriers while every partition clock sits at the event's timestamp.
+	Eng *sim.Engine
 	// Net is the canonical single tested-network switch; nil when the
 	// tester runs over a multi-switch Topology (see Fabric).
 	Net  *netem.Switch
 	Fab  *fabric.Fabric
 	FCTs *measure.FCTRecorder
 
-	cfg     Config
-	plan    tofino.Plan
-	rng     *sim.Rand
-	flowDst map[packet.FlowID]int
-	sizes   map[packet.FlowID]uint32
-	starts  map[packet.FlowID]sim.Time
+	cfg   Config
+	plan  tofino.Plan
+	rng   *sim.Rand
+	flows map[packet.FlowID]flowRec
 
-	txLinks  []*netem.Link
-	revLinks []*netem.Link
-	pfcs     []*netem.PFC
-	fpgaRecv *fpga.Receiver
-	scheLink *netem.Link
-	infoLink *netem.Link
+	parts     []*partition // partitions hosting data ports, ascending
+	portPart  []int        // global data port -> index in parts
+	portLocal []int        // global data port -> local port in its partition
+	txLinks   []*netem.Link
+	pfcs      []*netem.PFC
 
 	userComplete func(flow packet.FlowID, fct sim.Duration)
 
@@ -159,24 +161,23 @@ type Tester struct {
 	patternDrv  *workload.Driver
 	overloadMon *measure.OverloadMonitor
 
-	// Sharded-build state (nil/empty on the classic single-engine build).
-	// Eng is then the control engine: it carries user schedules, fault and
-	// pattern plans, and monitor probes, all executing at round barriers
-	// while every partition clock sits exactly at the event's timestamp.
-	runner    *shard.Runner
-	partEngs  []*sim.Engine
-	partPlan  fabric.PartitionPlan
-	subs      []*subTester // by partition; nil where no hosts live
-	subList   []*subTester // non-nil subs, ascending partition
-	portSub   []int        // global data port -> owning partition
-	portLocal []int        // global data port -> local index in its sub
-	flowGroup map[packet.FlowID]int
+	// Partitioned-build state (nil on the one-partition build).
+	runner   *shard.Runner
+	partEngs []*sim.Engine
+}
+
+// flowRec is the tester's bookkeeping for one flow: where its DATA goes,
+// which partition drives it, and what its FCT record needs.
+type flowRec struct {
+	dst   int // receiver data port
+	part  int // index in parts of the TX-side partition; -1 for external flows
+	size  uint32
+	start sim.Time
 }
 
 // prepare validates cfg, fills in the paper's defaults, and shrinks the
 // port plan to the ports actually used so validation and throughput
-// accounting stay honest. Both the classic and the sharded assembly build
-// from its output.
+// accounting stay honest.
 func prepare(cfg Config) (Config, tofino.Plan, error) {
 	if cfg.Algorithm == nil {
 		return cfg, tofino.Plan{}, fmt.Errorf("core: no CC algorithm configured")
@@ -228,16 +229,111 @@ func timerPPS(cfg Config, plan tofino.Plan) (tx, rx float64) {
 	return tx, rx
 }
 
-// New builds and wires a tester.
+// New builds and wires a tester: the partitions' devices first, then the
+// tested network around them.
 func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	cfg, plan, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
+	pplan, err := partitionPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &Tester{
+		Eng:       eng,
+		FCTs:      &measure.FCTRecorder{},
+		cfg:       cfg,
+		plan:      plan,
+		rng:       sim.NewRand(cfg.Seed),
+		flows:     make(map[packet.FlowID]flowRec),
+		portPart:  make([]int, cfg.DataPorts),
+		portLocal: make([]int, cfg.DataPorts),
+	}
+	engs := []*sim.Engine{eng}
 	if cfg.Shards > 0 {
-		return newSharded(eng, cfg, plan)
+		engs = make([]*sim.Engine, pplan.Parts)
+		for g := range engs {
+			engs[g] = sim.NewEngine()
+		}
+		t.partEngs = engs
 	}
 
+	// Group the data ports by partition; a partition gets one local port
+	// per global port, in ascending global order. A partition of pure
+	// transit switches gets no devices.
+	groups := make([][]int, pplan.Parts)
+	for p := 0; p < cfg.DataPorts; p++ {
+		g := pplan.HostPart[p]
+		groups[g] = append(groups[g], p)
+	}
+	for g, ports := range groups {
+		if len(ports) == 0 {
+			continue
+		}
+		part, err := t.buildPartition(g, engs[g], ports)
+		if err != nil {
+			return nil, err
+		}
+		for li, p := range ports {
+			t.portPart[p] = len(t.parts)
+			t.portLocal[p] = li
+		}
+		t.parts = append(t.parts, part)
+	}
+
+	if cfg.Topology.IsZero() {
+		err = t.wireSwitch()
+	} else {
+		err = t.wireFabric(pplan, engs)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// A partitioned build's completions fire on partition goroutines
+	// mid-round; defer them to the control engine so FCT recording and
+	// user callbacks replay single-threaded in (time, partition, sequence)
+	// order.
+	for _, part := range t.parts {
+		if t.runner == nil {
+			part.nic.OnComplete(t.flowDone)
+			continue
+		}
+		g := part.idx
+		part.nic.OnComplete(func(flow packet.FlowID, fct sim.Duration) {
+			t.runner.DeferPart(g, func() { t.flowDone(flow, fct) })
+		})
+	}
+	return t, nil
+}
+
+// partitionPlan assigns ports and switches to partitions: the topology's
+// canonical plan for Shards >= 1, else one partition holding everything.
+func partitionPlan(cfg Config) (fabric.PartitionPlan, error) {
+	if cfg.Shards <= 0 {
+		return fabric.PartitionPlan{Parts: 1, HostPart: make([]int, cfg.DataPorts)}, nil
+	}
+	if cfg.Topology.IsZero() {
+		return fabric.PartitionPlan{}, fmt.Errorf("core: Shards requires a multi-switch Topology (the canonical single switch has no cut to parallelize over)")
+	}
+	if cfg.EnablePFC {
+		return fabric.PartitionPlan{}, fmt.Errorf("core: Shards and EnablePFC are incompatible (pause frames would act across partitions mid-round)")
+	}
+	if cfg.ReceiverOnFPGA {
+		return fabric.PartitionPlan{}, fmt.Errorf("core: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)")
+	}
+	return fabric.PartitionSpec(cfg.Topology, cfg.DataPorts)
+}
+
+// buildPartition builds one partition's devices on its engine: a pipeline
+// and NIC sized to its ports, the device interconnect between them, and
+// the FPGA receiver when the receiver logic lives on the FPGA.
+func (t *Tester) buildPartition(idx int, eng *sim.Engine, ports []int) (*partition, error) {
+	cfg := t.cfg
+	plan := t.plan
+	plan.DataPorts = len(ports)
+	plan.Throughput = sim.Rate(int64(cfg.PortRate) * int64(len(ports)))
 	pl, err := tofino.NewPipeline(eng, tofino.Config{
 		Plan:           plan,
 		QueueDepth:     cfg.RegQueueDepth,
@@ -252,7 +348,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 
 	txPPS, rxPPS := timerPPS(cfg, plan)
 	nic, err := fpga.NewNIC(eng, fpga.Config{
-		Ports:          cfg.DataPorts,
+		Ports:          len(ports),
 		MaxFlows:       cfg.MaxFlows,
 		Algorithm:      cfg.Algorithm,
 		Params:         cfg.Params,
@@ -266,32 +362,19 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	t := &Tester{
-		Eng:      eng,
-		Pipeline: pl,
-		NIC:      nic,
-		FCTs:     &measure.FCTRecorder{},
-		cfg:      cfg,
-		plan:     plan,
-		rng:      sim.NewRand(cfg.Seed),
-		flowDst:  make(map[packet.FlowID]int),
-		sizes:    make(map[packet.FlowID]uint32),
-		starts:   make(map[packet.FlowID]sim.Time),
-	}
+	part := &partition{idx: idx, eng: eng, pl: pl, nic: nic}
 
 	// Device interconnect: one 100 Gbps cable carrying SCHE one way and
 	// INFO the other (§3.1).
 	deviceDelay := sim.Duration(200 * sim.Nanosecond)
-	scheLink := netem.NewLink(eng, netem.LinkConfig{
+	part.sche = netem.NewLink(eng, netem.LinkConfig{
 		Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
 	}, pl.ScheIn())
-	nic.ConnectSche(scheLink)
-	infoLink := netem.NewLink(eng, netem.LinkConfig{
+	nic.ConnectSche(part.sche)
+	part.info = netem.NewLink(eng, netem.LinkConfig{
 		Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
 	}, nic.InfoIn())
-	pl.ConnectInfo(infoLink)
-	t.scheLink, t.infoLink = scheLink, infoLink
+	pl.ConnectInfo(part.info)
 
 	if cfg.ReceiverOnFPGA {
 		// Reserved-port pair (§4.3): truncated DATA to the FPGA, the
@@ -303,28 +386,28 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		if cfg.Receiver == tofino.RoCEReceiver {
 			mode = fpga.RoCEReceiver
 		}
-		t.fpgaRecv = fpga.NewReceiver(eng, mode, cfg.Params.CNPInterval, respLink)
+		part.fpgaRecv = fpga.NewReceiver(eng, mode, cfg.Params.CNPInterval, respLink)
 		truncLink := netem.NewLink(eng, netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-		}, t.fpgaRecv.DataIn())
+		}, part.fpgaRecv.DataIn())
 		pl.ConnectRxForward(truncLink)
 	}
+	return part, nil
+}
 
-	if !cfg.Topology.IsZero() {
-		if err := t.wireFabric(eng); err != nil {
-			return nil, err
-		}
-		nic.OnComplete(t.flowDone)
-		return t, nil
+// dst routes a packet to its flow's receiver data port (-1: unknown flow).
+func (t *Tester) dst(p *packet.Packet) int {
+	if r, ok := t.flows[p.Flow]; ok {
+		return r.dst
 	}
+	return -1
+}
 
-	// Tested network: tester -> intermediate switch -> tester.
-	t.Net = netem.NewSwitch("tested-network", func(p *packet.Packet) int {
-		if dst, ok := t.flowDst[p.Flow]; ok {
-			return dst
-		}
-		return -1
-	})
+// wireSwitch builds the canonical tested network around the one
+// partition: tester -> intermediate switch -> tester.
+func (t *Tester) wireSwitch() error {
+	cfg, eng, pl := t.cfg, t.Eng, t.parts[0].pl
+	t.Net = netem.NewSwitch("tested-network", t.dst)
 	txQueueBytes := cfg.NetQueueBytes
 	if cfg.EnablePFC && txQueueBytes < 4<<20 {
 		// PFC backpressure parks packets at the tester's uplinks; give
@@ -361,7 +444,6 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		rev := netem.NewLink(eng, netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: 2 * cfg.LinkDelay, QueueBytes: 1 << 20,
 		}, pl.AckIn())
-		t.revLinks = append(t.revLinks, rev)
 		pl.ConnectAckPort(i, rev)
 	}
 	if cfg.EnablePFC {
@@ -377,28 +459,29 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 				XOFF: xoff, XON: xoff / 2, Delay: cfg.LinkDelay,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			t.pfcs = append(t.pfcs, pfc)
 		}
 	}
-
-	nic.OnComplete(t.flowDone)
-	return t, nil
+	return nil
 }
 
-// wireFabric replaces the canonical single switch with a multi-switch
-// tested network: each tester data port attaches as a fabric host, the
-// destination host's downlink delivers into the pipeline's receiver
-// logic, and the reverse ACK links are provisioned to the fabric's
-// forward diameter.
-func (t *Tester) wireFabric(eng *sim.Engine) error {
+// wireFabric builds a multi-switch tested network around the partitions:
+// each tester data port attaches as a fabric host, the destination host's
+// downlink delivers into its partition's receiver logic, and the reverse
+// ACK links are provisioned to the fabric's forward diameter. On a
+// partitioned build each switch lives on its partition's engine, host
+// endpoints on their leaf's, and trunks that cross the cut drain into
+// portal slots bound once the runner exists (the lookahead is measured
+// off the built fabric).
+func (t *Tester) wireFabric(pplan fabric.PartitionPlan, engs []*sim.Engine) error {
 	cfg := t.cfg
 	sinks := make([]netem.Node, cfg.DataPorts)
-	for i := range sinks {
-		sinks[i] = t.Pipeline.DataIn(i)
+	for h := range sinks {
+		sinks[h] = t.parts[t.portPart[h]].pl.DataIn(t.portLocal[h])
 	}
-	fab, err := fabric.Build(eng, fabric.Config{
+	fc := fabric.Config{
 		Spec:         cfg.Topology,
 		Hosts:        cfg.DataPorts,
 		PortRate:     cfg.PortRate,
@@ -411,27 +494,57 @@ func (t *Tester) wireFabric(eng *sim.Engine) error {
 		EnablePFC:    cfg.EnablePFC,
 		PFCXOFFBytes: cfg.PFCXOFFBytes,
 		Seed:         cfg.Seed,
-		Dst: func(p *packet.Packet) int {
-			if dst, ok := t.flowDst[p.Flow]; ok {
-				return dst
-			}
-			return -1
-		},
-		Sinks: sinks,
-	})
+		Dst:          t.dst,
+		Sinks:        sinks,
+	}
+	var slots []*portalSlot
+	if cfg.Shards > 0 {
+		fc.Engines = func(swIdx int) *sim.Engine { return engs[pplan.SwitchPart[swIdx]] }
+		fc.Remote = func(srcEng, dstEng *sim.Engine, dst netem.Node) netem.Remote {
+			s := &portalSlot{src: srcEng, dst: dstEng, node: dst}
+			slots = append(slots, s)
+			return s
+		}
+	}
+	fab, err := fabric.Build(t.Eng, fc)
 	if err != nil {
 		return err
 	}
 	t.Fab = fab
+
+	var routers []*ackRouter
+	if cfg.Shards > 0 {
+		look, err := fab.MinInterPartitionDelay(pplan)
+		if err != nil {
+			return err
+		}
+		if t.runner, err = shard.New(t.Eng, engs, look, cfg.Shards); err != nil {
+			return err
+		}
+		for _, s := range slots {
+			s.r = t.runner.Portal(s.src, s.dst, s.node)
+		}
+		routers = t.ackRouters()
+	}
+
+	// The reverse ACK link of a partitioned build feeds its partition's
+	// router, which delivers each response to the flow's TX-side pipeline
+	// through the runner. The rev delay is at least the lookahead
+	// (Diameter >= 1 hop), so every arrival lands beyond the round horizon.
 	revDelay := sim.Duration(cfg.Topology.Diameter()) * cfg.LinkDelay
-	for i := 0; i < cfg.DataPorts; i++ {
-		t.Pipeline.ConnectDataPort(i, fab.HostUplink(i))
-		t.txLinks = append(t.txLinks, fab.HostUplink(i))
-		rev := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
-		}, t.Pipeline.AckIn())
-		t.revLinks = append(t.revLinks, rev)
-		t.Pipeline.ConnectAckPort(i, rev)
+	for p := 0; p < cfg.DataPorts; p++ {
+		part := t.parts[t.portPart[p]]
+		part.pl.ConnectDataPort(t.portLocal[p], fab.HostUplink(p))
+		t.txLinks = append(t.txLinks, fab.HostUplink(p))
+		revCfg := netem.LinkConfig{Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20}
+		var rev *netem.Link
+		if t.runner == nil {
+			rev = netem.NewLink(part.eng, revCfg, part.pl.AckIn())
+		} else {
+			rev = netem.NewLink(part.eng, revCfg, nil)
+			rev.SetRemote(routers[t.portPart[p]])
+		}
+		part.pl.ConnectAckPort(t.portLocal[p], rev)
 	}
 	return nil
 }
@@ -541,15 +654,11 @@ func portAlias(name, prefix string) (int, bool) {
 }
 
 // StallNIC gates the FPGA NIC's pacing timers (implementing
-// faults.Target). A sharded build stalls every partition's NIC.
+// faults.Target), every partition's NIC at once.
 func (t *Tester) StallNIC(stalled bool) {
-	if t.runner != nil {
-		for _, sub := range t.subList {
-			sub.nic.SetStall(stalled)
-		}
-		return
+	for _, part := range t.parts {
+		part.nic.SetStall(stalled)
 	}
-	t.NIC.SetStall(stalled)
 }
 
 // InstallFaults schedules a fault plan against this tester and arms the
@@ -594,7 +703,7 @@ func (t *Tester) BindExternalFlow(flow packet.FlowID, rx int) error {
 	if rx < 0 || rx >= t.cfg.DataPorts {
 		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
 	}
-	t.flowDst[flow] = rx
+	t.flows[flow] = flowRec{dst: rx, part: -1}
 	return nil
 }
 
@@ -673,11 +782,13 @@ func (t *Tester) ecnMarks() uint64 {
 	return n
 }
 
-// ScheLink returns the FPGA->switch device link (SCHE direction).
-func (t *Tester) ScheLink() *netem.Link { return t.scheLink }
+// ScheLink returns the first partition's FPGA->switch device link (SCHE
+// direction).
+func (t *Tester) ScheLink() *netem.Link { return t.parts[0].sche }
 
-// InfoLink returns the switch->FPGA device link (INFO direction).
-func (t *Tester) InfoLink() *netem.Link { return t.infoLink }
+// InfoLink returns the first partition's switch->FPGA device link (INFO
+// direction).
+func (t *Tester) InfoLink() *netem.Link { return t.parts[0].info }
 
 // OnComplete registers a hook invoked after each flow completion (after
 // the FCT is recorded); closed-loop workloads start the next flow here.
@@ -688,23 +799,7 @@ func (t *Tester) OnComplete(fn func(flow packet.FlowID, fct sim.Duration)) {
 // StartFlow launches a flow of sizePkts MTU-sized packets from tx port to
 // rx port. sizePkts == 0 runs an unbounded flow (stopped via StopFlow).
 func (t *Tester) StartFlow(flow packet.FlowID, tx, rx int, sizePkts uint32) error {
-	if t.runner != nil {
-		return t.startFlowSharded(flow, tx, rx, sizePkts, ccOverride{})
-	}
-	if rx < 0 || rx >= t.cfg.DataPorts {
-		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
-	}
-	if err := t.Pipeline.BindFlow(flow, tx); err != nil {
-		return err
-	}
-	t.Pipeline.ResetFlow(flow)
-	if t.fpgaRecv != nil {
-		t.fpgaRecv.Reset(flow)
-	}
-	t.flowDst[flow] = rx
-	t.sizes[flow] = sizePkts
-	t.starts[flow] = t.Eng.Now()
-	return t.NIC.StartFlow(flow, tx, sizePkts)
+	return t.startFlow(flow, tx, rx, sizePkts, nil)
 }
 
 // StartFlowCC launches a flow running a per-flow CC algorithm instead of
@@ -717,41 +812,51 @@ func (t *Tester) StartFlowCC(flow packet.FlowID, tx, rx int, sizePkts uint32, al
 	if err != nil {
 		return err
 	}
-	if t.runner != nil {
-		return t.startFlowSharded(flow, tx, rx, sizePkts, ccOverride{alg: alg, ect: cc.PreferredECT(alg)})
-	}
+	return t.startFlow(flow, tx, rx, sizePkts, alg)
+}
+
+// startFlow binds the flow on its TX-side pipeline, resets receiver state
+// where its DATA will land, records it, and starts it on the TX-side NIC
+// with alg, or the deployed module when alg is nil.
+func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg cc.Algorithm) error {
 	if rx < 0 || rx >= t.cfg.DataPorts {
 		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
 	}
-	if err := t.Pipeline.BindFlow(flow, tx); err != nil {
+	if tx < 0 || tx >= t.cfg.DataPorts {
+		return fmt.Errorf("core: tx port %d out of range [0,%d)", tx, t.cfg.DataPorts)
+	}
+	g := t.portPart[tx]
+	part, rpart := t.parts[g], t.parts[t.portPart[rx]]
+	if err := part.pl.BindFlow(flow, t.portLocal[tx]); err != nil {
 		return err
 	}
-	t.Pipeline.ResetFlow(flow)
-	if t.fpgaRecv != nil {
-		t.fpgaRecv.Reset(flow)
+	part.pl.ResetFlow(flow)
+	if rpart != part {
+		rpart.pl.ResetFlow(flow)
 	}
-	t.flowDst[flow] = rx
-	t.sizes[flow] = sizePkts
-	t.starts[flow] = t.Eng.Now()
-	return t.NIC.StartFlowWith(flow, tx, sizePkts, alg, cc.PreferredECT(alg))
+	if rpart.fpgaRecv != nil {
+		rpart.fpgaRecv.Reset(flow)
+	}
+	t.flows[flow] = flowRec{dst: rx, part: g, size: sizePkts, start: t.Eng.Now()}
+	if alg == nil {
+		return part.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
+	}
+	return part.nic.StartFlowWith(flow, t.portLocal[tx], sizePkts, alg, cc.PreferredECT(alg))
 }
 
 // StopFlow terminates a flow immediately (§7.3's staggered termination).
 func (t *Tester) StopFlow(flow packet.FlowID) {
-	if t.runner != nil {
-		if g, ok := t.flowGroup[flow]; ok {
-			t.subs[g].nic.StopFlow(flow)
-		}
-		return
+	if part := t.owner(flow); part != nil {
+		part.nic.StopFlow(flow)
 	}
-	t.NIC.StopFlow(flow)
 }
 
 func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
+	r := t.flows[flow]
 	t.FCTs.Add(measure.FCTRecord{
 		Flow:     flow,
-		SizePkts: t.sizes[flow],
-		Start:    t.starts[flow],
+		SizePkts: r.size,
+		Start:    r.start,
 		FCT:      fct,
 	})
 	if t.userComplete != nil {
@@ -802,7 +907,7 @@ func (t *Tester) TopologyDOT() string {
 	if t.cfg.EnablePFC && t.Fab == nil {
 		b.WriteString("  net -> switch [style=dashed,label=\"PFC pause\"];\n")
 	}
-	if t.fpgaRecv != nil {
+	if t.cfg.ReceiverOnFPGA {
 		b.WriteString("  switch -> fpga [style=dashed,label=\"truncated DATA (reserved port)\"];\n")
 	}
 	b.WriteString("}\n")

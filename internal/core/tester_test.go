@@ -76,8 +76,8 @@ func TestSingleFlowReachesLineRate(t *testing.T) {
 	tr2 := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 2, Seed: 1})
 	tr2.StartFlow(0, 0, 1, 0)
 	tr2.Run(sim.Time(horizon / 2))
-	bytesAtHalf = tr2.Pipeline.FlowTxBytes(0)
-	total := tr.Pipeline.FlowTxBytes(0)
+	bytesAtHalf = tr2.FlowTxBytes(0)
+	total := tr.FlowTxBytes(0)
 	gbps := float64(total-bytesAtHalf) * 8 / (horizon / 2).Seconds() / 1e9
 	if gbps < 90 {
 		t.Fatalf("steady-state single-flow rate = %.1f Gbps, want ~98", gbps)
@@ -149,13 +149,13 @@ func TestFanInCongestionSharesFairly(t *testing.T) {
 	tr.Run(warm)
 	var base [4]uint64
 	for f := range base {
-		base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+		base[f] = tr.FlowTxBytes(packet.FlowID(f))
 	}
 	tr.Run(warm + sim.Time(3*sim.Millisecond))
 	var rates []float64
 	var total float64
 	for f := range base {
-		bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+		bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 		gbps := bits / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
 		rates = append(rates, gbps)
 		total += gbps
@@ -189,13 +189,13 @@ func TestDCQCNFanInConverges(t *testing.T) {
 	tr.Run(warm)
 	var base [4]uint64
 	for f := range base {
-		base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+		base[f] = tr.FlowTxBytes(packet.FlowID(f))
 	}
 	tr.Run(warm + sim.Time(4*sim.Millisecond))
 	var rates []float64
 	var total float64
 	for f := range base {
-		bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+		bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 		rates = append(rates, bits/sim.Duration(4*sim.Millisecond).Seconds()/1e9)
 		total += rates[f]
 	}
@@ -206,7 +206,7 @@ func TestDCQCNFanInConverges(t *testing.T) {
 		t.Fatalf("DCQCN Jain = %.3f (%v)", jain, rates)
 	}
 	// Lossless fabric: ECN (not loss) must carry the signal.
-	if tr.Pipeline.Counters().CnpTx == 0 {
+	if tr.PipelineCounters().CnpTx == 0 {
 		t.Fatal("no CNPs generated under congestion")
 	}
 }
@@ -222,9 +222,9 @@ func TestStopFlowReleasesBandwidth(t *testing.T) {
 	tr.StartFlow(1, 1, 2, 0)
 	tr.Run(sim.Time(3 * sim.Millisecond))
 	tr.StopFlow(1)
-	base := tr.Pipeline.FlowTxBytes(0)
+	base := tr.FlowTxBytes(0)
 	tr.Run(sim.Time(6 * sim.Millisecond))
-	gbps := float64(tr.Pipeline.FlowTxBytes(0)-base) * 8 / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
+	gbps := float64(tr.FlowTxBytes(0)-base) * 8 / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
 	if gbps < 85 {
 		t.Fatalf("survivor rate = %.1f Gbps after peer stopped, want ~98", gbps)
 	}
@@ -242,7 +242,7 @@ func TestScriptedLossOnForwardLink(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not recover from scripted loss")
 	}
-	if tr.NIC.Stats().RtxTx == 0 {
+	if tr.NICStats().RtxTx == 0 {
 		t.Fatal("no retransmission despite a drop")
 	}
 }
@@ -276,7 +276,7 @@ func BenchmarkTesterSingleFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Run(tr.Eng.Now().Add(sim.Duration(10 * sim.Microsecond)))
 	}
-	b.ReportMetric(float64(tr.Pipeline.Counters().DataTx)/float64(b.N), "pkts/op")
+	b.ReportMetric(float64(tr.PipelineCounters().DataTx)/float64(b.N), "pkts/op")
 }
 
 func TestReceiverOnFPGA(t *testing.T) {
@@ -297,7 +297,7 @@ func TestReceiverOnFPGA(t *testing.T) {
 		if tr.FCTs.Len() != 1 {
 			t.Fatalf("%s: flow did not complete via FPGA receiver", algo)
 		}
-		c := tr.Pipeline.Counters()
+		c := tr.PipelineCounters()
 		if c.AckTx == 0 {
 			t.Fatalf("%s: no ACKs relayed from the FPGA receiver", algo)
 		}
@@ -323,7 +323,7 @@ func TestReceiverOnFPGALossRecovery(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not recover from loss via FPGA receiver")
 	}
-	if tr.NIC.Stats().RtxTx == 0 {
+	if tr.NICStats().RtxTx == 0 {
 		t.Fatal("no retransmission")
 	}
 }
@@ -345,7 +345,7 @@ func TestForwardJitterReordersButCompletes(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not complete under reordering")
 	}
-	if tr.Pipeline.Counters().OutOfOrderRx == 0 {
+	if tr.PipelineCounters().OutOfOrderRx == 0 {
 		t.Fatal("jitter produced no reordering (test ineffective)")
 	}
 }
@@ -410,11 +410,11 @@ func TestExtraHopsDeepenPathAndINT(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Run(sim.Time(2 * sim.Millisecond))
-		_, count, ewma := tr.NIC.RTTSamples()
+		_, count, ewma := tr.RTTSamples()
 		if count == 0 {
 			t.Fatal("no RTT probes")
 		}
-		gbps := float64(tr.Pipeline.FlowTxBytes(0)) * 8 / 0.002 / 1e9
+		gbps := float64(tr.FlowTxBytes(0)) * 8 / 0.002 / 1e9
 		if gbps < 60 {
 			t.Fatalf("extra=%d: throughput %v Gbps", extra, gbps)
 		}
@@ -480,7 +480,7 @@ func TestEveryAlgorithmRunsEndToEnd(t *testing.T) {
 			if tr.FCTs.Len() != 1 {
 				t.Fatalf("%s: flow did not complete", name)
 			}
-			if tr.Pipeline.Counters().ScheDrops != 0 {
+			if tr.PipelineCounters().ScheDrops != 0 {
 				t.Fatalf("%s: false losses", name)
 			}
 		})
@@ -681,7 +681,7 @@ func TestInstallFaultsLinkDownRecovery(t *testing.T) {
 	if r.RtxDuring == 0 && link.Stats().DownDrops > 0 {
 		// Retransmissions may land after the window; only sanity-check the
 		// NIC saw the loss at all.
-		if tr.NIC.Stats().RtxTx == 0 {
+		if tr.NICStats().RtxTx == 0 {
 			t.Fatal("carrier drops but no retransmissions ever")
 		}
 	}

@@ -33,7 +33,7 @@ func TestRenoTrajectoryMatchesReference(t *testing.T) {
 	}
 	tr.Run(sim.Time(horizon))
 	var mCwnd measure.StepTrace
-	for _, p := range tr.NIC.Logger().FlowTrace(0) {
+	for _, p := range tr.FlowTrace(0) {
 		mCwnd = append(mCwnd, measure.Point{At: p.At, V: float64(p.A)})
 	}
 	if len(mCwnd) == 0 {

@@ -154,8 +154,14 @@ func (r *Runner) Lookahead() sim.Duration { return r.look }
 // Workers returns the effective worker count.
 func (r *Runner) Workers() int { return r.workers }
 
-// Stats returns the runner's cumulative work counters.
-func (r *Runner) Stats() Stats { return r.stats }
+// Stats returns the runner's cumulative work counters. A nil Runner (a
+// simulation on one engine) has done no rounds and reports zero.
+func (r *Runner) Stats() Stats {
+	if r == nil {
+		return Stats{}
+	}
+	return r.stats
+}
 
 // Portal builds the netem.Remote endpoint for a link draining on srcEng
 // whose destination node runs on dstEng. Both engines must be partition
